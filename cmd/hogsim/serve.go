@@ -15,8 +15,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -194,6 +196,27 @@ func method(want string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// maxRequestBytes caps the /advance and /fork request bodies. A fork request
+// with dozens of branches and scenario steps is a few kilobytes.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes a size-capped JSON request body into v. On failure it
+// writes the error reply — 413 for an oversized body, 400 otherwise — and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -250,16 +273,34 @@ type advanceRequest struct {
 	ByS float64 `json:"by_s"` // or: seconds beyond the current instant
 }
 
+// maxAdvanceSeconds is the largest whole number of seconds sim.Seconds
+// converts without overflowing sim.Time.
+const maxAdvanceSeconds = float64(math.MaxInt64 / int64(sim.Second))
+
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
+	}
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{{"to_s", req.ToS}, {"by_s", req.ByS}} {
+		if !(v.val >= 0 && v.val <= maxAdvanceSeconds) {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%s = %g outside [0, %g]", v.name, v.val, maxAdvanceSeconds))
+			return
+		}
 	}
 	s.mu.Lock()
 	target := sim.Seconds(req.ToS)
 	if req.ByS > 0 {
-		target = s.sys.Eng.Now() + sim.Seconds(req.ByS)
+		now, by := s.sys.Eng.Now(), sim.Seconds(req.ByS)
+		if by > math.MaxInt64-now {
+			s.mu.Unlock()
+			writeError(w, http.StatusBadRequest, fmt.Errorf("by_s = %g overflows the simulation clock", req.ByS))
+			return
+		}
+		target = now + by
 	}
 	err := s.sys.RunTo(target)
 	reply := stateReply{Phase: s.sys.Phase().String(), NowS: s.sys.Eng.Now().Seconds()}
@@ -302,8 +343,7 @@ type forkReply struct {
 // endpoint's job is reproducibility, not latency.
 func (s *server) handleFork(w http.ResponseWriter, r *http.Request) {
 	var req forkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Branches) == 0 {

@@ -268,3 +268,67 @@ func TestServeShutdownDrainsSubscribers(t *testing.T) {
 		t.Fatalf("drained stream ended with %v, want clean EOF", err)
 	}
 }
+
+// post sends body to path and returns the status code and reply text.
+func post(t *testing.T, url, path string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+func TestServeRejectsOversizedBodies(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	before := srv.sys.Eng.Now()
+	// Valid JSON whose padding string alone exceeds the cap, so only the
+	// size limit can reject it.
+	body := []byte(`{"pad": "` + strings.Repeat("x", maxRequestBytes+1) + `"}`)
+	for _, path := range []string{"/advance", "/fork"} {
+		if code, msg := post(t, ts.URL, path, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d (%s), want 413", path, len(body), code, msg)
+		}
+	}
+	if now := srv.sys.Eng.Now(); now != before {
+		t.Fatalf("clock moved from %v to %v after rejected requests", before, now)
+	}
+}
+
+func TestServeAdvanceRejectsOutOfRangeTimes(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	before := srv.sys.Eng.Now()
+	for _, body := range []string{
+		`{"to_s": -1}`,
+		`{"by_s": -5}`,
+		`{"to_s": 1e300}`,
+		`{"by_s": 1e300}`,
+		`{"to_s": 1e400}`,
+		// In range on its own, but now + by_s overflows the clock.
+		`{"by_s": 9223372036854}`,
+	} {
+		if code, msg := post(t, ts.URL, "/advance", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("POST /advance %s = %d (%s), want 400", body, code, msg)
+		}
+	}
+	if now := srv.sys.Eng.Now(); now != before {
+		t.Fatalf("clock moved from %v to %v after rejected requests", before, now)
+	}
+
+	// A sane request still advances.
+	code, msg := post(t, ts.URL, "/advance", []byte(`{"by_s": 60}`))
+	if code != http.StatusOK {
+		t.Fatalf("POST /advance by 60 s = %d (%s), want 200", code, msg)
+	}
+	if now := srv.sys.Eng.Now(); now <= before {
+		t.Fatalf("clock %v did not advance past %v", now, before)
+	}
+}

@@ -91,7 +91,7 @@ func Specs() []Spec {
 		{"hod", "A-HOD: Hadoop On Demand baseline", expandHOD},
 		{"grid", "LARGE-GRID: ~1000 nodes across 12 sites", expandLargeGrid},
 		{"mega", "MEGA-GRID: ~10000 nodes across 40 sites", expandMegaGrid},
-		{"giga", "GIGA-GRID: ~100000 nodes across 104 sites, sharded parallel engine", expandGigaGrid},
+		{"giga", "GIGA-GRID: ~100000 nodes across 104 sites", expandGigaGrid},
 		{"sched", "SCHED-SCALE: indexed vs scan scheduler at 1000 nodes", expandSched},
 		{"events", "EVENTS: typed event stream census under fault injection", expandEvents},
 		{"chaos", "CHAOS: randomized fault schedules with audit + determinism check", expandChaos},

@@ -326,11 +326,6 @@ type Flow struct {
 	crossSite  bool
 	diskIO     bool
 	bytes      float64
-	// shard is the destination's site index: completion timers are tagged
-	// onto the receiving site's engine shard, so a WAN flow's completion is
-	// settled by the wheel of the site it lands on. Load placement only;
-	// never affects ordering.
-	shard int
 }
 
 // StartFlow begins a transfer of bytes from src to dst, invoking done when
@@ -351,7 +346,6 @@ func (n *Network) StartFlow(src, dst NodeID, bytes float64, done func()) *Flow {
 		capBps:    n.cfg.NodeBps,
 	}
 	n.flowSeq++
-	f.shard = int(nd.site)
 	latency := n.cfg.LANLatency
 	f.links = append(f.links, &ns.up, &nd.down)
 	if ns.site != nd.site {
@@ -379,16 +373,12 @@ func (n *Network) StartDiskIO(node NodeID, bytes float64, done func()) *Flow {
 		diskIO:    true,
 	}
 	n.flowSeq++
-	f.shard = int(n.nodes[node].site)
 	f.links = append(f.links, &n.nodes[node].disk)
 	n.admit(f, 0)
 	return f
 }
 
 func (n *Network) admit(f *Flow, latency sim.Time) {
-	cur := n.eng.Shard()
-	n.eng.SetShard(f.shard)
-	defer n.eng.SetShard(cur) // admit's timers carry the flow tag; callers keep theirs
 	if f.remaining <= 0 {
 		// Zero-byte transfers complete after the propagation latency. The
 		// flow stays cancelable until then: Cancel stops the timer and
@@ -621,13 +611,10 @@ func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
 		fin = 0
 	}
 	if f.timer.Active() {
-		f.timer.Reschedule(now + fin) // keeps its shard tag
+		f.timer.Reschedule(now + fin)
 	} else {
 		ff := f
-		cur := n.eng.Shard()
-		n.eng.SetShard(f.shard)
 		f.timer = n.eng.Schedule(now+fin, func() { n.complete(ff) })
-		n.eng.SetShard(cur) // don't leak the flow's tag into caller scheduling
 	}
 }
 

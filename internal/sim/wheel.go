@@ -6,9 +6,9 @@ import (
 	"math/bits"
 )
 
-// Hierarchical timing wheel (Varghese & Lauer), the engine's default event
-// queue. Six levels of 64 slots each cover the 64^6 µs (~19.1 h) block of
-// virtual time around the wheel cursor; events in a later block wait in an
+// Hierarchical timing wheel (Varghese & Lauer), the engine's event queue.
+// Six levels of 64 slots each cover the 64^6 µs (~19.1 h) block of virtual
+// time around the wheel cursor; events in a later block wait in an
 // overflow heap and are promoted as the cursor approaches. Scheduling and
 // canceling are O(1); firing pays amortized O(levels) cursor movement
 // instead of the heap's O(log pending) — the win that matters when
@@ -194,40 +194,6 @@ func (w *wheelQ) settle(limit Time) bool {
 			b[i] = nil
 		}
 	}
-}
-
-// lowerBound returns a lower bound on the earliest stored event without
-// moving the cursor: the minimum candidate window start across levels (the
-// same candidates settle considers) and the overflow head. The bound is
-// exact once the minimum sits in a level-0 bucket; otherwise a following
-// settle tightens it by cascading, so repeated lowerBound/settle rounds
-// converge on the true minimum within wheelLevels cascades. The sharded
-// queue uses it to pick the next synchronization window without settling
-// a shard past the window's end.
-func (w *wheelQ) lowerBound() (Time, bool) {
-	if w.readyValid {
-		return w.readyTime, true
-	}
-	if w.count == 0 && len(w.over) == 0 {
-		return 0, false
-	}
-	best := maxTime
-	for l := 0; l < wheelLevels; l++ {
-		if w.occ[l] == 0 {
-			continue
-		}
-		shift := uint(wheelSlotBits * l)
-		s := bits.TrailingZeros64(w.occ[l])
-		span := Time(1) << shift
-		align := w.base &^ (span*wheelSlots - 1)
-		if start := align + Time(s)*span; start < best {
-			best = start
-		}
-	}
-	if len(w.over) > 0 && w.over[0].at < best {
-		best = w.over[0].at
-	}
-	return best, true
 }
 
 func (w *wheelQ) peek(limit Time) (Time, bool) {

@@ -7,31 +7,26 @@ import (
 	"testing"
 )
 
-// engineConfig names one engine configuration for table-driven edge tests.
+// engineConfig names one engine constructor for table-driven edge tests.
 type engineConfig struct {
 	name string
-	cfg  Config
+	new  func(seed int64) *Engine
 }
 
-// engineConfigs returns every engine configuration; each edge-case test in
-// this file runs against all of them, since the sharded queue, the
-// sequential wheel and the heap must be indistinguishable. The sharded
-// entries force StageThreshold 1 so the parallel staging path runs even at
-// toy scale (and so the race detector sees it), and include a deliberately
-// tiny lookahead so tests cross many barrier windows.
+// engineConfigs returns the production wheel engine and the test-only heap
+// oracle; each edge-case test in this file runs against both, since the two
+// queues must be indistinguishable.
 func engineConfigs() []engineConfig {
 	return []engineConfig{
-		{"sharded", Config{Seed: 1, StageThreshold: 1}},
-		{"sharded-narrow", Config{Seed: 1, Shards: 3, Lookahead: 50 * Millisecond, StageThreshold: 1}},
-		{"wheel", Config{Seed: 1, SequentialEngine: true}},
-		{"heap", Config{Seed: 1, HeapScheduler: true}},
+		{"wheel", New},
+		{"heap", newHeapEngine},
 	}
 }
 
-func forBothEngines(t *testing.T, f func(t *testing.T, cfg Config)) {
+func forBothEngines(t *testing.T, f func(t *testing.T, mk func() *Engine)) {
 	t.Helper()
 	for _, ec := range engineConfigs() {
-		t.Run(ec.name, func(t *testing.T) { f(t, ec.cfg) })
+		t.Run(ec.name, func(t *testing.T) { f(t, func() *Engine { return ec.new(1) }) })
 	}
 }
 
@@ -41,10 +36,9 @@ func forBothEngines(t *testing.T, f func(t *testing.T, cfg Config)) {
 // sequence (time, marker). The op stream comes from its own rand source, so
 // it is identical for both engines by construction; the hash then certifies
 // the firing order is too.
-func fingerprintRun(cfg Config, seed int64) uint64 {
+func fingerprintRun(mk func(seed int64) *Engine, seed int64) uint64 {
 	r := rand.New(rand.NewSource(seed))
-	cfg.Seed = seed
-	e := NewEngine(cfg)
+	e := mk(seed)
 	h := fnv.New64a()
 	record := func(marker int) {
 		var buf [16]byte
@@ -63,13 +57,6 @@ func fingerprintRun(cfg Config, seed int64) uint64 {
 	var mutate func()
 	mutate = func() {
 		for k := 0; k < 4; k++ {
-			if r.Intn(3) == 0 {
-				// Retag the current logical process; under the sharded queue
-				// this spreads the schedule across shard wheels (including
-				// out-of-range tags, which must fold in), and under the
-				// sequential engines it must change nothing at all.
-				e.SetShard(r.Intn(11) - 2)
-			}
 			switch r.Intn(12) {
 			case 0, 1, 2: // near-future event that keeps the churn going
 				m := nextMarker
@@ -136,18 +123,15 @@ func fingerprintRun(cfg Config, seed int64) uint64 {
 	return h.Sum64()
 }
 
-// TestEngineFingerprintEquivalence pins the tentpole contract: every engine
-// configuration — sharded parallel queues of several shapes, the sequential
-// timing wheel, the binary heap — fires exactly the same events at exactly
-// the same times in exactly the same order, across randomized schedules
-// that cover cancels, reschedules, tickers, ties, and overflow.
+// TestEngineFingerprintEquivalence pins the engine's ordering contract: the
+// timing wheel fires exactly the same events at exactly the same times in
+// exactly the same order as the binary-heap oracle, across randomized
+// schedules that cover cancels, reschedules, tickers, ties, and overflow.
 func TestEngineFingerprintEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		oracle := fingerprintRun(Config{HeapScheduler: true}, seed)
-		for _, ec := range engineConfigs() {
-			if got := fingerprintRun(ec.cfg, seed); got != oracle {
-				t.Fatalf("seed %d: %s fingerprint %016x != heap fingerprint %016x", seed, ec.name, got, oracle)
-			}
+		oracle := fingerprintRun(newHeapEngine, seed)
+		if got := fingerprintRun(New, seed); got != oracle {
+			t.Fatalf("seed %d: wheel fingerprint %016x != heap fingerprint %016x", seed, got, oracle)
 		}
 	}
 }
@@ -156,8 +140,8 @@ func TestEngineFingerprintEquivalence(t *testing.T) {
 // boundary — microseconds to hours — in both directions and checks the
 // firing order.
 func TestRescheduleAcrossWheelLevels(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		var order []string
 		a := e.Schedule(10*Microsecond, func() { order = append(order, "a") })
 		b := e.Schedule(2*Hour, func() { order = append(order, "b") })
@@ -184,8 +168,8 @@ const time500ms = 500 * Millisecond
 // still sit in the overflow heap — before the wheel cursor ever gets close
 // enough to promote them — and checks they neither fire nor leak.
 func TestOverflowCancelBeforePromotion(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		fired := 0
 		far1 := e.Schedule(25*Hour, func() { fired++ })
 		far2 := e.Schedule(40*Hour, func() { fired++ })
@@ -218,8 +202,8 @@ func TestOverflowCancelBeforePromotion(t *testing.T) {
 // future and a near event into overflow; both must fire exactly once at
 // their final times.
 func TestOverflowRescheduleToNear(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		var fires []Time
 		far := e.Schedule(30*Hour, func() { fires = append(fires, e.Now()) })
 		near := e.Schedule(Second, func() { fires = append(fires, e.Now()) })
@@ -245,9 +229,9 @@ func TestSameInstantAtBucketBoundary(t *testing.T) {
 		1 << (6 * 4), // level-4 boundary
 		3 << (6 * 4), // mid-range multiple
 	}
-	forBothEngines(t, func(t *testing.T, cfg Config) {
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
 		for _, at := range boundaries {
-			e := NewEngine(cfg)
+			e := mk()
 			var got []int
 			// Scheduled far in advance: parks at a high level.
 			e.Schedule(at, func() { got = append(got, 0) })
@@ -271,8 +255,8 @@ func TestSameInstantAtBucketBoundary(t *testing.T) {
 // replacement and verifies it ticks on its own schedule — under both
 // engines, since tickers are the wheel's hottest recurring clients.
 func TestTickerStopRestart(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		first, second := 0, 0
 		tk := e.Every(Second, func() { first++ })
 		e.RunUntil(3 * Second)
@@ -297,8 +281,8 @@ func TestTickerStopRestart(t *testing.T) {
 // TestTickerRestartFromCallback stops and replaces a ticker from inside its
 // own callback — the reentrant pattern model code uses for backoff.
 func TestTickerRestartFromCallback(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		var ticks []Time
 		var tk *Ticker
 		tk = e.Every(Second, func() {
@@ -329,8 +313,8 @@ func TestTickerRestartFromCallback(t *testing.T) {
 // TestScheduleArgFiresLikeSchedule pins the pre-bound form to the closure
 // form: same times, same order, argument delivered.
 func TestScheduleArgFiresLikeSchedule(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		var got []int
 		e.ScheduleArg(2*Second, func(x any) { got = append(got, x.(int)) }, 2)
 		e.AfterArg(Second, func(x any) { got = append(got, x.(int)) }, 1)
@@ -346,8 +330,8 @@ func TestScheduleArgFiresLikeSchedule(t *testing.T) {
 // stretches of empty time, then schedules between the deadline and the next
 // pending event — the case where a naive wheel cursor would have overshot.
 func TestRunUntilThenScheduleBehindCursor(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, mk func() *Engine) {
+		e := mk()
 		var fires []Time
 		e.Schedule(10*Hour, func() { fires = append(fires, e.Now()) })
 		e.RunUntil(Hour) // idle advance: next event far beyond the deadline
@@ -361,4 +345,116 @@ func TestRunUntilThenScheduleBehindCursor(t *testing.T) {
 			t.Fatalf("fires = %v, want [2h 10h]", fires)
 		}
 	})
+}
+
+// TestBarrierBoundaryEvent covers events on the edges of wheel slot
+// windows, where the cursor cascades: for each level boundary B = 64^k µs,
+// events at B-1 (last instant of the window below), exactly B, and 2B (the
+// next boundary), scheduled out of order. All must fire, in time order, at
+// their exact instants, on both engines.
+func TestBarrierBoundaryEvent(t *testing.T) {
+	for _, ec := range engineConfigs() {
+		for k := 1; k <= 4; k++ {
+			b := Time(1) << (wheelSlotBits * k)
+			e := ec.new(1)
+			var fires []Time
+			rec := func() { fires = append(fires, e.Now()) }
+			e.Schedule(2*b, rec)
+			e.Schedule(b, rec)
+			e.Schedule(b-1, rec)
+			e.Run()
+			if got, want := fmt.Sprint(fires), fmt.Sprint([]Time{b - 1, b, 2 * b}); got != want {
+				t.Fatalf("%s, boundary %d: fires %v, want %v", ec.name, b, got, want)
+			}
+		}
+	}
+}
+
+// TestIntraWindowScheduling covers a callback scheduling new events inside
+// the slot window the cursor has already reached, both before and after an
+// event filed earlier, including a zero-delay event at the current instant.
+func TestIntraWindowScheduling(t *testing.T) {
+	for _, ec := range engineConfigs() {
+		e := ec.new(1)
+		var order []string
+		e.Schedule(Millisecond, func() {
+			order = append(order, "a")
+			e.Schedule(500*Millisecond, func() { order = append(order, "late") })
+			e.After(0, func() { order = append(order, "now") })
+		})
+		e.Schedule(400*Millisecond, func() { order = append(order, "filed-mid") })
+		e.Run()
+		if got, want := fmt.Sprint(order), "[a now filed-mid late]"; got != want {
+			t.Fatalf("%s: order %v, want %v", ec.name, got, want)
+		}
+	}
+}
+
+// TestRescheduleStagedAndOverlay moves timers filed before the cursor
+// moved ("staged") and timers created inside a callback ("overlay") between
+// near slots, higher wheel levels and the overflow heap, and cancels a
+// filed event. Firing times must be exact on both engines.
+func TestRescheduleStagedAndOverlay(t *testing.T) {
+	for _, ec := range engineConfigs() {
+		e := ec.new(1)
+		var fires []Time
+		rec := func() { fires = append(fires, e.Now()) }
+		tStaged := e.Schedule(800*Millisecond, rec)
+		tStaged2 := e.Schedule(900*Millisecond, rec)
+		tGone := e.Schedule(850*Millisecond, rec)
+		tOverflow := e.Schedule(30*Hour, rec) // past the wheel's 64^6 µs block
+		e.Schedule(Millisecond, func() {
+			rec()
+			tStaged.Reschedule(5 * Second)         // near slot -> higher level
+			tStaged2.Reschedule(400 * Millisecond) // earlier, same level
+			tGone.Cancel()
+			tOverflow.Reschedule(3 * Second)       // overflow -> wheel
+			tOv := e.After(200*Millisecond, rec)   // created in the callback
+			tOv.Reschedule(e.Now() + 25*Hour)      // wheel -> overflow
+			tFar := e.Schedule(8*Second, rec)      // higher level
+			tFar.Reschedule(e.Now() + Millisecond) // higher level -> near slot
+		})
+		e.Run()
+		want := []Time{Millisecond, 2 * Millisecond, 400 * Millisecond, 3 * Second, 5 * Second, Millisecond + 25*Hour}
+		if got := fmt.Sprint(fires); got != fmt.Sprint(want) {
+			t.Fatalf("%s: fires %v, want %v", ec.name, got, want)
+		}
+	}
+}
+
+// TestRunUntilAcrossWindows decomposes a run into RunUntil slices whose
+// deadlines fall before, exactly on, and between events and on a wheel
+// level boundary; on both engines the firing sequence must match one
+// uninterrupted Run of the heap oracle.
+func TestRunUntilAcrossWindows(t *testing.T) {
+	schedule := func(e *Engine, fires *[]Time) {
+		rec := func() { *fires = append(*fires, e.Now()) }
+		for i := 1; i <= 12; i++ {
+			e.Schedule(Time(i)*37*Millisecond, rec)
+		}
+	}
+	var want []Time
+	oracle := newHeapEngine(1)
+	schedule(oracle, &want)
+	oracle.Run()
+
+	deadlines := []Time{30 * Millisecond, 37 * Millisecond, 101 * Millisecond, 137 * Millisecond, 1 << (wheelSlotBits * 3), 300 * Millisecond}
+	for _, ec := range engineConfigs() {
+		var got []Time
+		e := ec.new(1)
+		schedule(e, &got)
+		for _, d := range deadlines {
+			e.RunUntil(d)
+			if e.Now() != d {
+				t.Fatalf("%s: now = %v after RunUntil(%v)", ec.name, e.Now(), d)
+			}
+		}
+		e.Run()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: fires %v, want %v", ec.name, got, want)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%s: pending = %d after drain", ec.name, e.Pending())
+		}
+	}
 }

@@ -9,9 +9,8 @@
 // clock/sequence/RNG position and per-layer digests of grid, network, HDFS,
 // MapReduce, and disk state). Restore rebuilds the system from the recipe
 // and deterministically replays it to the recorded instant, then verifies
-// the replayed state against the census field by field: because every
-// engine (heap, sequential wheel, sharded wheels at any shard count) fires
-// events in the identical (at, seq) order, the restored system is not
+// the replayed state against the census field by field: because the engine
+// fires events in a deterministic (at, seq) order, the restored system is not
 // approximately equal but *the same state*, and every later event fires
 // identically — restored runs are byte-identical to uninterrupted ones.
 // The census turns any violation of that contract (a hidden rand source, a

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -119,62 +120,39 @@ var policyPoints = []struct {
 }
 
 // TestRoundTrip1k: a 1k-node LARGE-GRID run snapshotted mid-run and
-// restored is byte-identical to the uninterrupted run — across shard
-// counts, under the sequential oracle, and under every registered policy's
-// non-default choice.
+// restored is byte-identical to the uninterrupted run — under every
+// registered policy's non-default choice. The "seq" subtest level names the
+// engine: the sequential timing wheel.
 func TestRoundTrip1k(t *testing.T) {
-	engines := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"shards1", func(c *core.Config) { c.Shards = 1 }},
-		{"shards4", func(c *core.Config) { c.Shards = 4 }},
-		{"seq", func(c *core.Config) { c.SequentialEngine = true }},
-	}
 	for _, pp := range policyPoints {
-		for _, eng := range engines {
-			pp, eng := pp, eng
-			t.Run(pp.name+"/"+eng.name, func(t *testing.T) {
-				t.Parallel()
-				cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
-				cfg.Policies = pp.pol
-				eng.mut(&cfg)
-				want := straightRun(t, cfg, nil)
-				got := snapshotRun(t, cfg, nil, 0.5)
-				if want != got {
-					t.Fatalf("restored run diverged from straight run:\n want %+v\n got  %+v", want, got)
-				}
-			})
-		}
+		pp := pp
+		t.Run(pp.name+"/seq", func(t *testing.T) {
+			t.Parallel()
+			cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
+			cfg.Policies = pp.pol
+			want := straightRun(t, cfg, nil)
+			got := snapshotRun(t, cfg, nil, 0.5)
+			if want != got {
+				t.Fatalf("restored run diverged from straight run:\n want %+v\n got  %+v", want, got)
+			}
+		})
 	}
 }
 
-// TestRoundTrip10k: the MEGA-GRID acceptance point, shard counts 1 and 4
-// plus the sequential oracle. Heavy; skipped in -short and race runs.
+// TestRoundTrip10k: the MEGA-GRID acceptance point on the sequential
+// timing wheel ("seq"). Heavy; skipped in -short and race runs.
 func TestRoundTrip10k(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("10k-node round trip is heavy; skipped in -short/race runs")
 	}
-	for _, eng := range []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"shards1", func(c *core.Config) { c.Shards = 1 }},
-		{"shards4", func(c *core.Config) { c.Shards = 4 }},
-		{"seq", func(c *core.Config) { c.SequentialEngine = true }},
-	} {
-		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
-			eng.mut(&cfg)
-			want := straightRun(t, cfg, nil)
-			got := snapshotRun(t, cfg, nil, 0.5)
-			if want != got {
-				t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
-			}
-		})
-	}
+	t.Run("seq", func(t *testing.T) {
+		cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
+		want := straightRun(t, cfg, nil)
+		got := snapshotRun(t, cfg, nil, 0.5)
+		if want != got {
+			t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
+		}
+	})
 }
 
 // TestRoundTripWithScenario: scenarios (including master faults) ride in
@@ -444,5 +422,62 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 	}
 	if _, err := core.ScenarioFromSpec(core.ScenarioSpec{Name: "x", Steps: []core.StepSpec{{Verb: "no-such-verb"}}}); err == nil {
 		t.Fatal("unknown verb accepted")
+	}
+}
+
+// TestRestoreIgnoresRetiredEngineFields: v2 snapshots written while the
+// engine had selectable queues may carry heap_scheduler, sequential_engine
+// and shards in their config. The engine choice never changed results, so
+// such a snapshot must restore and finish exactly like one without them.
+func TestRestoreIgnoresRetiredEngineFields(t *testing.T) {
+	sys, err := core.NewSystem(core.HOGConfig(60, grid.ChurnStable, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched(5, 0.05)
+	if err := sys.StartWorkload(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(sys.RunStart() + s.Span()/2); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Save(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := unframe(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p map[string]json.RawMessage
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]json.RawMessage
+	if err := json.Unmarshal(p["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["heap_scheduler"] = json.RawMessage("true")
+	cfg["sequential_engine"] = json.RawMessage("true")
+	cfg["shards"] = json.RawMessage("4")
+	if p["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	legacyBody, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	finish := func(data []byte) fingerprint {
+		log := event.NewLog()
+		restored, err := Restore(data, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp(log, restored, restored.FinishWorkload())
+	}
+	if want, got := finish(data), finish(frame(legacyBody)); want != got {
+		t.Fatalf("legacy-field snapshot diverged:\n want %+v\n got  %+v", want, got)
 	}
 }
