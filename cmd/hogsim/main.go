@@ -122,7 +122,11 @@ func simMain(args []string) int {
 	} else {
 		sched = workload.Generate(*seed, workload.Config{Scale: *scale})
 	}
-	sys := core.New(cfg)
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	var res *core.Result
 	if *snapOut != "" {

@@ -302,9 +302,16 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		}
 		target = now + by
 	}
-	err := s.sys.RunTo(target)
+	// The request context ends when the client goes away or the route's
+	// timeout answers 503 for us; the run then stops between two events and
+	// releases the lock instead of simulating on for nobody.
+	err := s.sys.RunToContext(r.Context(), target)
 	reply := stateReply{Phase: s.sys.Phase().String(), NowS: s.sys.Eng.Now().Seconds()}
 	s.mu.Unlock()
+	if ctxErr := r.Context().Err(); ctxErr != nil {
+		writeError(w, http.StatusServiceUnavailable, ctxErr)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return

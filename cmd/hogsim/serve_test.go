@@ -332,3 +332,38 @@ func TestServeAdvanceRejectsOutOfRangeTimes(t *testing.T) {
 		t.Fatalf("clock %v did not advance past %v", now, before)
 	}
 }
+
+// TestServeAdvanceStopsOnCancelledContext pins that /advance gives up as soon
+// as its request context is done — the client left, or the route timeout
+// already answered 503 — instead of simulating on while holding the lock.
+// The handler is called directly: through the route, the timeout wrapper
+// would answer 503 itself and hide whether the run stopped.
+func TestServeAdvanceStopsOnCancelledContext(t *testing.T) {
+	srv := testServer(t)
+	before := srv.sys.Eng.Now()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/advance", strings.NewReader(`{"by_s": 3600}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.handleAdvance(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /advance with a cancelled context = %d (%s), want 503", rec.Code, rec.Body.String())
+	}
+	if now := srv.sys.Eng.Now(); now != before {
+		t.Fatalf("clock moved from %v to %v on a cancelled request", before, now)
+	}
+	if !srv.mu.TryLock() {
+		t.Fatal("cancelled /advance left the server lock held")
+	}
+	srv.mu.Unlock()
+
+	// The same handler with a live context still advances.
+	rec = httptest.NewRecorder()
+	srv.handleAdvance(rec, httptest.NewRequest(http.MethodPost, "/advance", strings.NewReader(`{"by_s": 60}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /advance by 60 s = %d (%s), want 200", rec.Code, rec.Body.String())
+	}
+	if now := srv.sys.Eng.Now(); now <= before {
+		t.Fatalf("clock %v did not advance past %v", now, before)
+	}
+}

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"hog/internal/disk"
@@ -290,10 +291,12 @@ type worker struct {
 	// retry-duration cap (Config.MasterRetryTotal); once it is exceeded the
 	// worker sets nnGaveUp and stops retrying for good. Likewise jt* for the
 	// JobTracker.
-	nnLost      bool
-	jtLost      bool
-	nnGaveUp    bool
-	jtGaveUp    bool
+	nnLost   bool
+	jtLost   bool
+	nnGaveUp bool
+	jtGaveUp bool
+	// irregular marks a worker in System.irregular (see beat.go).
+	irregular   bool
 	nnRetryAt   sim.Time
 	jtRetryAt   sim.Time
 	nnBackoff   sim.Time
@@ -308,6 +311,9 @@ type worker struct {
 	// derating so RestoreNodes can undo it exactly.
 	grayLoss  float64
 	origSpeed float64
+
+	// seq is the worker's join index, the heartbeat driver's visiting order.
+	seq int
 }
 
 // System is a running HOG or dedicated-cluster instance.
@@ -319,11 +325,16 @@ type System struct {
 	NN   *hdfs.Namenode
 	JT   *mapred.JobTracker
 
-	cfg            Config
-	mapper         *topology.Mapper
-	workers        map[netmodel.NodeID]*worker
-	order          []netmodel.NodeID
-	workerList     []*worker // join order, parallel to order
+	cfg        Config
+	mapper     *topology.Mapper
+	workers    map[netmodel.NodeID]*worker
+	order      []netmodel.NodeID
+	workerList []*worker // join order, parallel to order
+	// live holds the workers not known dead, in join order: the busy beat's
+	// walk, which drops the dead as it passes them. irregular holds the
+	// workers that need per-beat handling of their own (beat.go), by seq.
+	live           []*worker
+	irregular      []*worker
 	bus            *event.Bus
 	scenarios      []*Scenario
 	scenariosArmed bool
@@ -457,12 +468,17 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 
 	// Heartbeat driver: healthy workers report to both masters, zombies
 	// only to the JobTracker (their datanode died with the working dir).
-	// The loop walks worker records directly — at MEGA-GRID scale this
-	// single closure touches every worker every beat, and the old
-	// three-maps-per-worker probing dominated whole runs. Master-crash
-	// handling rides the same beats: a worker whose master is down flips to
-	// backed-off retries (retryNN/retryJT) and re-registers on recovery.
-	// With no master faults this draws zero RNG and runs the PR-5 path.
+	// A beat costs what changes, not how many workers exist (beat.go). When
+	// no job is unfinished and both masters are up, a tracker's beat assigns
+	// nothing and a plain beat only refreshes a timestamp, so the idle beat
+	// visits just the irregular workers — cut off, flaky, retrying a lost
+	// master, or not yet credited — and credits every other worker with one
+	// Tick per master. A busy beat walks every live worker in join order.
+	// Either walk visits its workers in the same relative order, so gray-loss
+	// and retry-jitter draws come out identical. Master-crash handling rides
+	// the same beats: a worker whose master is down flips to backed-off
+	// retries (retryNN/retryJT) and re-registers on recovery. With no faults
+	// the driver draws no randomness.
 	hb := s.JT.Config().HeartbeatInterval
 	if s.cfg.MasterBackoffInitial <= 0 {
 		s.cfg.MasterBackoffInitial = hb
@@ -471,9 +487,20 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 		nnDown := s.NN.Down()
 		jtDown := s.JT.Down()
 		now := s.Eng.Now()
-		for _, w := range s.workerList {
+		idle := !nnDown && !jtDown && s.JT.ActiveJobs() == 0
+		walk := s.live
+		if idle {
+			walk = s.irregular
+		}
+		// A busy beat drops the dead from the live walk as it passes them:
+		// death is terminal.
+		live := s.live[:0]
+		for _, w := range walk {
 			if w.health == workerDead {
 				continue
+			}
+			if !idle {
+				live = append(live, w)
 			}
 			// A partitioned worker's beats drop silently: the masters'
 			// dead timeouts fire exactly as for a crash, but the daemons
@@ -510,6 +537,12 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 				}
 			}
 		}
+		if !idle {
+			s.live = live
+		}
+		s.NN.Tick()
+		s.JT.Tick()
+		s.settle()
 	})
 	s.Eng.Every(cfg.SampleInterval, func() {
 		s.Reported.Add(s.Eng.Now(), float64(s.reportedAlive()))
@@ -526,15 +559,7 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 func (s *System) Subscribe(o event.Observer) { s.bus.Subscribe(o) }
 
 // reportedAlive counts trackers the JobTracker still believes alive.
-func (s *System) reportedAlive() int {
-	n := 0
-	for _, w := range s.workerList {
-		if w.tr != nil && w.tr.Alive {
-			n++
-		}
-	}
-	return n
-}
+func (s *System) reportedAlive() int { return s.JT.NumAlive() }
 
 // Zombies returns the number of currently zombie workers.
 func (s *System) Zombies() int { return s.zombies }
@@ -574,8 +599,10 @@ func (s *System) jitter(d sim.Time) sim.Time {
 // returns — the dead scan reaps it like any silent node.
 func (s *System) retryNN(w *worker, now sim.Time, down bool) {
 	if !w.nnLost {
-		// Heartbeat went unanswered: note the loss, back off.
+		// Heartbeat went unanswered: note the loss, back off. The datanode
+		// record stops beating until the worker re-registers.
 		w.nnLost = true
+		s.unsettle(w)
 		w.nnLostSince = now
 		w.nnBackoff = s.cfg.MasterBackoffInitial
 		w.nnRetryAt = now + s.jitter(w.nnBackoff)
@@ -607,6 +634,7 @@ func (s *System) retryNN(w *worker, now sim.Time, down bool) {
 func (s *System) retryJT(w *worker, now sim.Time, down bool) {
 	if !w.jtLost {
 		w.jtLost = true
+		s.unsettle(w)
 		w.jtLostSince = now
 		w.jtBackoff = s.cfg.MasterBackoffInitial
 		w.jtRetryAt = now + s.jitter(w.jtBackoff)
@@ -657,10 +685,12 @@ func (s *System) buildStatic() {
 			if g.Speed > 0 {
 				tr.Speed = g.Speed
 			}
-			w := &worker{id: id, health: workerHealthy, dn: dn, tr: tr}
+			w := &worker{id: id, health: workerHealthy, dn: dn, tr: tr, seq: len(s.workerList)}
 			s.workers[id] = w
 			s.order = append(s.order, id)
 			s.workerList = append(s.workerList, w)
+			s.live = append(s.live, w)
+			s.unsettle(w)
 			if s.bus.Active() {
 				ev := event.At(event.NodeJoined, s.Eng.Now())
 				ev.Node = id
@@ -676,10 +706,12 @@ func (s *System) onJoin(n *grid.Node) {
 	s.Disk.SetCapacity(n.ID, n.DiskCapacity)
 	dn := s.NN.Register(n.ID, n.Hostname)
 	tr := s.JT.RegisterTracker(n.ID, n.Hostname, s.mapper.Site(n.Hostname), n.MapSlots, n.ReduceSlots)
-	w := &worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr}
+	w := &worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr, seq: len(s.workerList)}
 	s.workers[n.ID] = w
 	s.order = append(s.order, n.ID)
 	s.workerList = append(s.workerList, w)
+	s.live = append(s.live, w)
+	s.unsettle(w)
 }
 
 // onPreempt applies the configured daemon behaviour when a site kills the
@@ -693,12 +725,15 @@ func (s *System) onPreempt(n *grid.Node) {
 	// The site reclaimed the machine: its disk contents are genuinely gone,
 	// so a later partition heal must not "recover" replicas from it.
 	s.NN.MarkPhysicallyLost(n.ID)
+	// Whatever the daemons do next, the datanode never beats again.
+	s.NN.Silence(w.dn)
 	switch s.cfg.Zombie {
 	case ZombieFixed:
 		// Direct-child daemons die with the process tree: tasks stop
 		// silently and the JobTracker only notices at the heartbeat
 		// timeout.
 		w.health = workerDead
+		s.JT.Silence(w.tr)
 		s.JT.NodeCrashed(n.ID)
 	case ZombieUnfixed:
 		// Double-forked daemons survive, the working directory does not:
@@ -720,6 +755,7 @@ func (s *System) onPreempt(n *grid.Node) {
 			if w.health == workerZombie {
 				w.health = workerDead
 				s.zombies--
+				s.JT.Silence(w.tr)
 			}
 		})
 	}
@@ -748,6 +784,7 @@ func (s *System) onDiskOverflow(n netmodel.NodeID) {
 		s.zombies--
 	}
 	w.health = workerDead
+	s.silence(w)
 	// An overflowed scratch disk takes the node's data down with the
 	// daemons — nothing survives for a partition heal to hand back.
 	s.NN.MarkPhysicallyLost(n)
@@ -959,12 +996,29 @@ func (s *System) runCond() func() bool {
 // fire exactly as an uninterrupted run would fire them, and the clock never
 // advances past the last fired event (so a later RunTo or FinishWorkload
 // continues seamlessly). Stops early if the workload completes first.
-func (s *System) RunTo(t sim.Time) error {
+func (s *System) RunTo(t sim.Time) error { return s.RunToContext(context.Background(), t) }
+
+// RunToContext is RunTo that also stops, between two events, once ctx is
+// done, and then returns ctx's error. Stopping early never changes which
+// events fire later: the run continues seamlessly from where it stopped.
+func (s *System) RunToContext(ctx context.Context, t sim.Time) error {
 	if s.phase != PhaseStarted {
 		return fmt.Errorf("core: RunTo on a %v system", s.phase)
 	}
-	s.Eng.RunUntilWhile(t, s.runCond())
-	return nil
+	cond := s.runCond()
+	if done := ctx.Done(); done != nil {
+		running := cond
+		cond = func() bool {
+			select {
+			case <-done:
+				return false
+			default:
+				return running()
+			}
+		}
+	}
+	s.Eng.RunUntilWhile(t, cond)
+	return ctx.Err()
 }
 
 // FinishWorkload runs an in-flight workload to completion and assembles the

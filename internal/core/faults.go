@@ -82,6 +82,14 @@ func (s *System) pickWorkers(site string, count int, ok func(*worker) bool) []*w
 	return cands
 }
 
+// cutOff silences a worker whose heartbeats no longer reach the masters.
+// Reachable workers (an inbound-only cut) keep beating plainly.
+func (s *System) cutOff(w *worker) {
+	if !s.Net.MasterReachable(w.id) {
+		s.unsettle(w)
+	}
+}
+
 // ghostPartitioned converts the running attempts of every worker being cut
 // off outbound into ghosts: the partitioned daemons keep executing out
 // there, but nothing they do can reach the masters, so master-side state
@@ -113,7 +121,11 @@ func (s *System) PartitionSiteNamed(site, mode string) error {
 	s.partedSites[site] = mode
 	affected := 0
 	for _, w := range s.workerList {
-		if w.health != workerHealthy || s.Net.SiteOf(w.id) != id {
+		if w.health == workerDead || s.Net.SiteOf(w.id) != id {
+			continue
+		}
+		s.cutOff(w)
+		if w.health != workerHealthy {
 			continue
 		}
 		affected++
@@ -143,6 +155,7 @@ func (s *System) PartitionNodesNamed(site string, count int, mode string) error 
 	for _, w := range picked {
 		s.Net.PartitionNode(w.id, cutIn, cutOut)
 		s.partedNodes[w.id] = mode
+		s.cutOff(w)
 		if cutOut {
 			s.ghostPartitioned(w)
 		}
@@ -200,8 +213,10 @@ func (s *System) HealPartitionNamed(site string) error {
 }
 
 // recoverWorker reconciles one healthy worker with the masters after the
-// network between them heals.
+// network between them heals. Revived records come back silenced; the
+// worker's next beat resumes them.
 func (s *System) recoverWorker(w *worker) {
+	s.unsettle(w)
 	if w.dn != nil && !w.dn.Alive {
 		s.NN.RecoverDatanode(w.id)
 	}
@@ -249,6 +264,9 @@ func (s *System) DegradeNodesNamed(site string, count int, factor, loss float64)
 	for _, w := range picked {
 		s.degraded[w.id] = struct{}{}
 		w.grayLoss = loss
+		if loss > 0 {
+			s.unsettle(w)
+		}
 		if w.tr != nil {
 			w.origSpeed = w.tr.Speed
 			if factor > 1 {

@@ -60,6 +60,24 @@ func Validate(cfg Config) error {
 	if cfg.RunBound < 0 {
 		return fmt.Errorf("core: negative run bound %v", cfg.RunBound)
 	}
+	return validateTimeouts(cfg)
+}
+
+// validateTimeouts rejects dead timeouts shorter than the heartbeat
+// interval: such a master would declare healthy workers dead between two of
+// their beats, and event-driven dead detection relies on a plainly beating
+// worker never timing out. Zero timeouts select the subsystem defaults.
+func validateTimeouts(cfg Config) error {
+	hb := cfg.MapRed.HeartbeatInterval
+	if hb <= 0 {
+		hb = mapred.DefaultConfig().HeartbeatInterval
+	}
+	if d := cfg.HDFS.DeadTimeout; d > 0 && d < hb {
+		return fmt.Errorf("core: HDFS dead timeout %v is below the heartbeat interval %v", d, hb)
+	}
+	if d := cfg.MapRed.TrackerTimeout; d > 0 && d < hb {
+		return fmt.Errorf("core: tracker timeout %v is below the heartbeat interval %v", d, hb)
+	}
 	return nil
 }
 

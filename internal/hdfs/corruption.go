@@ -197,8 +197,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	if d == nil || d.Alive || d.physLost {
 		return 0
 	}
-	d.Alive = true
-	d.LastHeartbeat = nn.eng.Now()
+	nn.revive(d)
 	held := d.held
 	d.held = nil
 	bids := make([]BlockID, 0, len(held))

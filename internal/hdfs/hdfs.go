@@ -117,12 +117,18 @@ func (c Config) withDefaults() Config {
 
 // DatanodeInfo is the namenode's view of one datanode.
 type DatanodeInfo struct {
-	ID            netmodel.NodeID
-	Hostname      string
-	Site          string
-	Alive         bool
-	LastHeartbeat sim.Time
-	blocks        map[BlockID]struct{}
+	ID       netmodel.NodeID
+	Hostname string
+	Site     string
+	Alive    bool
+	// lastBeat is the node's own last heartbeat instant. A plainly beating
+	// node's effective last beat is max(lastBeat, Namenode.lastTick): the
+	// heartbeat driver credits those in bulk (Tick). silenced (below) marks
+	// a node that is not plainly beating — dead, cut off, flaky, or retrying
+	// a lost master — whose lastBeat alone is exact; only live silenced
+	// nodes can time out, so they alone sit in the namenode's dead-scan set.
+	lastBeat sim.Time
+	blocks   map[BlockID]struct{}
 	// held preserves the physical inventory (block -> size) of a node the
 	// namenode declared dead but whose hardware may still be running behind a
 	// network partition: markDead captures blocks here instead of discarding
@@ -139,6 +145,7 @@ type DatanodeInfo struct {
 	// awaitingReport is set when a restarted namenode is waiting for this
 	// datanode's block report (see safemode.go).
 	awaitingReport bool
+	silenced       bool
 	// siteIx is the dense index of Site in the namenode's site registry;
 	// the placement hot path counts replicas per site through it instead of
 	// hashing site name strings.
@@ -258,9 +265,14 @@ type Namenode struct {
 	mapper *topology.Mapper
 
 	datanodes map[netmodel.NodeID]*DatanodeInfo
+	// silenced holds the live silenced datanodes in ascending ID order: the
+	// dead scan's whole input (see liveness.go). lastTick is the instant of
+	// the heartbeat driver's last bulk credit.
+	silenced []*DatanodeInfo
+	lastTick sim.Time
 	// dnOrder holds every registered datanode in ascending ID order — the
-	// deterministic base order the placement policy and the dead scan need,
-	// maintained incrementally instead of sorted per call.
+	// deterministic base order the placement policy and the safe-mode
+	// passes need, maintained incrementally instead of sorted per call.
 	dnOrder []*DatanodeInfo
 	// siteIx assigns each distinct awareness site a dense index; siteCands
 	// and siteCounts are reusable scratch for the placement policy's
@@ -386,12 +398,12 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 		panic(fmt.Sprintf("hdfs: datanode %d registered twice", id))
 	}
 	d := &DatanodeInfo{
-		ID:            id,
-		Hostname:      hostname,
-		Site:          nn.mapper.Site(hostname),
-		Alive:         true,
-		LastHeartbeat: nn.eng.Now(),
-		blocks:        make(map[BlockID]struct{}),
+		ID:       id,
+		Hostname: hostname,
+		Site:     nn.mapper.Site(hostname),
+		Alive:    true,
+		lastBeat: nn.eng.Now(),
+		blocks:   make(map[BlockID]struct{}),
 	}
 	ix, ok := nn.siteIx[d.Site]
 	if !ok {
@@ -409,6 +421,9 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 	for i := len(nn.dnOrder) - 1; i > 0 && nn.dnOrder[i-1].ID > id; i-- {
 		nn.dnOrder[i], nn.dnOrder[i-1] = nn.dnOrder[i-1], nn.dnOrder[i]
 	}
+	// A new node starts silenced: until its owner says it beats plainly
+	// (Resume), it is scanned on its own beats alone.
+	nn.silence(d)
 	return d
 }
 
@@ -426,7 +441,7 @@ func (nn *Namenode) HeartbeatDatanode(d *DatanodeInfo) {
 		return
 	}
 	if d != nil && d.Alive {
-		d.LastHeartbeat = nn.eng.Now()
+		d.lastBeat = nn.eng.Now()
 	}
 }
 
@@ -454,18 +469,7 @@ func (nn *Namenode) Block(id BlockID) *BlockInfo { return nn.blocks[id] }
 func (nn *Namenode) UnderReplicated() int { return len(nn.replQueued) }
 
 func (nn *Namenode) checkDead() {
-	now := nn.eng.Now()
-	// Collect victims from dnOrder: markDead queues replication work and
-	// draws from the engine RNG, so processing order must not depend on map
-	// iteration — dnOrder is already the deterministic ascending-ID order
-	// the old sort produced, without the per-scan sort.
-	var doomed []*DatanodeInfo
-	for _, d := range nn.dnOrder {
-		if d.Alive && now-d.LastHeartbeat > nn.cfg.DeadTimeout {
-			doomed = append(doomed, d)
-		}
-	}
-	for _, d := range doomed {
+	for _, d := range nn.Expired() {
 		nn.markDead(d)
 	}
 }
@@ -478,6 +482,8 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	if !d.Alive {
 		return
 	}
+	nn.silence(d)
+	nn.unscan(d)
 	d.Alive = false
 	nn.clearAwaiting(d)
 	nn.stats.DatanodesDead++

@@ -13,13 +13,15 @@ import (
 
 // TaskTracker is the JobTracker's view of a worker's task daemon.
 type TaskTracker struct {
-	Node          netmodel.NodeID
-	Hostname      string
-	Site          string
-	MapSlots      int
-	ReduceSlots   int
-	Alive         bool
-	LastHeartbeat sim.Time
+	Node        netmodel.NodeID
+	Hostname    string
+	Site        string
+	MapSlots    int
+	ReduceSlots int
+	Alive       bool
+	// lastBeat and silenced are the tracker's heartbeat bookkeeping for
+	// event-driven dead detection (liveness.go).
+	lastBeat sim.Time
 	// Speed scales compute rates on this worker (1.0 = nominal). Table
 	// III's cluster mixes dual-core Opteron-275 and older single-core
 	// Opteron-64 nodes; the latter run slot-for-slot slower.
@@ -31,6 +33,7 @@ type TaskTracker struct {
 	// awaitingReregister is set while a recovered JobTracker waits for this
 	// tracker to re-register (see recovery.go).
 	awaitingReregister bool
+	silenced           bool
 }
 
 // FreeMapSlots returns currently unoccupied map slots.
@@ -71,13 +74,20 @@ type JobTracker struct {
 
 	trackers map[netmodel.NodeID]*TaskTracker
 	// trackerOrder holds every registered tracker in ascending node order:
-	// the deterministic scan order for dead detection, without per-scan
-	// sorting at ten-thousand-tracker scale.
+	// the deterministic order for crash recovery and the audit sweep,
+	// without per-call sorting at ten-thousand-tracker scale.
 	trackerOrder []*TaskTracker
-	jobs         []*Job
-	nextID       JobID
-	active       int // running or pending jobs
-	attemptSeq   int64
+	// silenced holds the live silenced trackers in ascending node order —
+	// the dead scan's whole input — and lastTick the instant of the
+	// heartbeat driver's last bulk credit (liveness.go). alive counts live
+	// trackers.
+	silenced   []*TaskTracker
+	lastTick   sim.Time
+	alive      int
+	jobs       []*Job
+	nextID     JobID
+	active     int // running or pending jobs
+	attemptSeq int64
 	// down is true between Crash and Restart; heartbeats are lost then and
 	// the senders back off and retry (see the master backoff in internal/core).
 	down bool
@@ -183,17 +193,18 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 		panic(fmt.Sprintf("mapred: tracker %d registered twice", node))
 	}
 	t := &TaskTracker{
-		Node:          node,
-		Hostname:      hostname,
-		Site:          site,
-		MapSlots:      mapSlots,
-		ReduceSlots:   reduceSlots,
-		Alive:         true,
-		LastHeartbeat: jt.eng.Now(),
-		Speed:         1.0,
-		attempts:      make(map[*attempt]struct{}),
+		Node:        node,
+		Hostname:    hostname,
+		Site:        site,
+		MapSlots:    mapSlots,
+		ReduceSlots: reduceSlots,
+		Alive:       true,
+		lastBeat:    jt.eng.Now(),
+		Speed:       1.0,
+		attempts:    make(map[*attempt]struct{}),
 	}
 	jt.trackers[node] = t
+	jt.alive++
 	sl := jt.siteLoads[site]
 	if sl == nil {
 		sl = &siteLoad{}
@@ -206,6 +217,9 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 	for i := len(jt.trackerOrder) - 1; i > 0 && jt.trackerOrder[i-1].Node > node; i-- {
 		jt.trackerOrder[i], jt.trackerOrder[i-1] = jt.trackerOrder[i-1], jt.trackerOrder[i]
 	}
+	// A new tracker starts silenced: until its owner says it beats plainly
+	// (Resume), it is scanned on its own beats alone.
+	jt.silence(t)
 	return t
 }
 
@@ -236,7 +250,7 @@ func (jt *JobTracker) HeartbeatTracker(t *TaskTracker) {
 	if jt.down || t == nil || !t.Alive {
 		return
 	}
-	t.LastHeartbeat = jt.eng.Now()
+	t.lastBeat = jt.eng.Now()
 	jt.assign(t)
 }
 
@@ -287,16 +301,7 @@ func (jt *JobTracker) Jobs() []*Job { return jt.jobs }
 func (jt *JobTracker) ActiveJobs() int { return jt.active }
 
 func (jt *JobTracker) checkDead() {
-	now := jt.eng.Now()
-	// trackerOrder is already the ascending-node order the old per-scan
-	// sort produced; markDead consumes RNG, so order must stay exact.
-	var doomed []*TaskTracker
-	for _, t := range jt.trackerOrder {
-		if t.Alive && now-t.LastHeartbeat > jt.cfg.TrackerTimeout {
-			doomed = append(doomed, t)
-		}
-	}
-	for _, t := range doomed {
+	for _, t := range jt.Expired() {
 		jt.markDead(t)
 	}
 }
@@ -353,7 +358,10 @@ func (jt *JobTracker) markDead(t *TaskTracker) {
 	if !t.Alive {
 		return
 	}
+	jt.silence(t)
+	jt.unscan(t)
 	t.Alive = false
+	jt.alive--
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots -= t.MapSlots + t.ReduceSlots
 	}

@@ -80,7 +80,7 @@ func (jt *JobTracker) Restart() {
 	for _, t := range jt.trackerOrder {
 		if t.Alive {
 			t.awaitingReregister = true
-			t.LastHeartbeat = now
+			t.lastBeat = now
 		}
 	}
 	jt.Start()
@@ -116,7 +116,7 @@ func (jt *JobTracker) ReregisterTracker(t *TaskTracker) {
 			jt.Events.Emit(ev)
 		}
 	}
-	t.LastHeartbeat = jt.eng.Now()
+	t.lastBeat = jt.eng.Now()
 	jt.assign(t)
 }
 
@@ -130,8 +130,7 @@ func (jt *JobTracker) ReviveTracker(node netmodel.NodeID) bool {
 	if t == nil || t.Alive {
 		return false
 	}
-	t.Alive = true
-	t.LastHeartbeat = jt.eng.Now()
+	jt.revive(t)
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots += t.MapSlots + t.ReduceSlots
 	}

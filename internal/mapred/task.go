@@ -278,7 +278,7 @@ func (a *attempt) fail(reason string, charge bool) {
 		}
 		a.job.blacklist[a.node]++
 		if a.job.blacklist[a.node] == 3 {
-			cap := len(a.jt.AliveTrackers()) / 4
+			cap := a.jt.alive / 4
 			if len(a.job.blacklistedSet) < cap {
 				a.job.blacklistedSet[a.node] = true
 			}
