@@ -43,17 +43,16 @@ func benchOpts() experiments.Options {
 
 // netRebalanceRun drives a 1000-node, 10-site network through a churn-heavy
 // flow schedule: thousands of overlapping transfers starting, sharing links
-// and finishing, which is exactly the event pattern that made the global
-// rebalancer the experiment bottleneck. Returns completions as a cheap
-// self-check.
-func netRebalanceRun(global bool) int {
+// and finishing, which is exactly the event pattern that made rebalancing
+// the experiment bottleneck. Returns completions as a cheap self-check.
+func netRebalanceRun() int {
 	const (
 		nSites       = 10
 		nodesPerSite = 100
 		nFlows       = 8000
 	)
 	eng := sim.New(1)
-	net := netmodel.New(eng, netmodel.Config{GlobalRebalance: global})
+	net := netmodel.New(eng, netmodel.Config{})
 	for s := 0; s < nSites; s++ {
 		site := net.AddSite("site", 300e6, 300e6)
 		for i := 0; i < nodesPerSite; i++ {
@@ -91,22 +90,16 @@ func netRebalanceRun(global bool) int {
 	return completed
 }
 
-// BenchmarkNetRebalance compares the link-scoped incremental rebalancer
-// (the default) against the rebalance-everything baseline at 1000 nodes.
-// The acceptance bar for this PR is incremental <= global/5 ns/op.
+// BenchmarkNetRebalance times the link-scoped incremental rebalancer at
+// 1000 nodes.
 func BenchmarkNetRebalance(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		global bool
-	}{{"incremental", false}, {"global", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := netRebalanceRun(mode.global); got != 8000 {
-					b.Fatalf("completed %d flows, want 8000", got)
-				}
+	b.Run("incremental", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := netRebalanceRun(); got != 8000 {
+				b.Fatalf("completed %d flows, want 8000", got)
 			}
-		})
-	}
+		}
+	})
 }
 
 // schedulerRun drives a 1008-node, 12-site MapReduce cluster through the

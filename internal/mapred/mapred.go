@@ -158,8 +158,7 @@ type Config struct {
 	// O(jobs x tasks x trackers) — instead of the default incrementally
 	// indexed scheduler. The two paths are bit-identical (the randomized
 	// equivalence tests assert identical assignment order and completion
-	// times); the scan path exists as the equivalence baseline, mirroring
-	// netmodel's Config.GlobalRebalance.
+	// times); the scan path exists as the equivalence baseline.
 	ScanScheduler bool
 	// SchedulerPolicy names the job-ordering policy (policy.go registry);
 	// empty selects "fifo", the paper's choice. Non-default policies

@@ -26,19 +26,20 @@
 // instead of O(all flows) per event. Untouched flows settle lazily: their
 // rate is constant between the rebalances that touch them, so remaining
 // bytes are materialised only when the rate actually changes (or on demand
-// via Remaining()). Because both the incremental and the global path settle
-// at exactly the rate-change instants, they produce bit-identical completion
-// times; Config.GlobalRebalance selects the global path for equivalence
-// tests and benchmark baselines.
+// via Remaining()). Settling at exactly the rate-change instants makes the
+// result bit-identical to recomputing every active flow on every event; the
+// tests keep that rebalance-everything path as their oracle.
 //
-// Determinism: affected flows are processed in creation-sequence order, and
-// timer rescheduling draws fresh engine tie-breaking sequence numbers, so
-// same-instant completions fire in a stable order — never map order.
+// Determinism: each link's registry is kept in creation-sequence order, so
+// the changed flows found on one dirty link form an ordered run, and the
+// runs are merged so that changed flows are settled and re-timed in creation
+// order. Timer rescheduling draws fresh engine tie-breaking sequence numbers
+// in that order, so same-instant completions fire in a stable order — never
+// map order.
 package netmodel
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"hog/internal/sim"
@@ -63,11 +64,6 @@ type Config struct {
 	// LANLatency and WANLatency are one-way propagation delays added to the
 	// start of each flow.
 	LANLatency, WANLatency sim.Time
-	// GlobalRebalance selects the O(flows) rebalance-everything path instead
-	// of the default link-scoped incremental one. Both produce identical
-	// results; the global path exists as an equivalence and benchmark
-	// baseline.
-	GlobalRebalance bool
 }
 
 // DefaultConfig returns the constants used throughout the evaluation:
@@ -104,14 +100,15 @@ func (c Config) withDefaults() Config {
 }
 
 // link is a shared resource: NIC direction, site uplink/downlink, or disk.
-// It keeps a registry of the active flows crossing it so a population change
-// can find exactly the flows whose rate may have moved, and caches its
-// equal-share value so the rebalance filter pass is divisions-free.
+// It keeps a registry of the active flows crossing it, in ascending creation
+// sequence, so a population change can find exactly the flows whose rate may
+// have moved in the order they must be re-timed, and caches its equal-share
+// value so the rebalance filter pass is divisions-free.
 type link struct {
 	capacity  float64
 	shareVal  float64 // capacity / max(1, len(flows)), kept current
 	prevShare float64 // shareVal when the link was first dirtied
-	flows     []*Flow
+	flows     []*Flow // active flows, ascending seq
 	dirty     bool
 }
 
@@ -125,22 +122,30 @@ func (l *link) reshare() {
 	}
 }
 
+// attach inserts f in seq order, searching from the tail: flows join almost
+// in creation order (only a LAN flow, with its shorter latency, can overtake
+// a WAN flow on a NIC), so the search rarely moves past the last entry.
 func (l *link) attach(f *Flow) {
+	i := len(l.flows)
 	l.flows = append(l.flows, f)
+	for ; i > 0 && l.flows[i-1].seq > f.seq; i-- {
+		l.flows[i] = l.flows[i-1]
+	}
+	l.flows[i] = f
 	l.reshare()
 }
 
+// detach removes f, keeping the rest in seq order.
 func (l *link) detach(f *Flow) {
-	for i, g := range l.flows {
-		if g == f {
-			last := len(l.flows) - 1
-			l.flows[i] = l.flows[last]
-			l.flows[last] = nil
-			l.flows = l.flows[:last]
-			l.reshare()
-			return
-		}
+	i := sort.Search(len(l.flows), func(i int) bool { return l.flows[i].seq >= f.seq })
+	if i == len(l.flows) || l.flows[i] != f {
+		return
 	}
+	last := len(l.flows) - 1
+	copy(l.flows[i:], l.flows[i+1:])
+	l.flows[last] = nil
+	l.flows = l.flows[:last]
+	l.reshare()
 }
 
 type nodeState struct {
@@ -178,15 +183,16 @@ type Network struct {
 	stats   Stats
 	nActive int
 
-	flowSeq  uint64  // creation-order stamp for deterministic iteration
-	dirty    []*link // links whose population changed since the last rebalance
-	affected []*Flow // scratch: flows touched by the current rebalance
-	epoch    uint64  // rebalance generation, for affected-set dedupe
-	batching int     // >0 while Batch() defers rebalancing
+	flowSeq  uint64    // creation-order stamp for deterministic iteration
+	dirty    []*link   // links whose population changed since the last rebalance
+	changed  []*Flow   // reused buffer: flows whose rate moved, as ordered runs
+	runs     []flowRun // reused buffer: the runs of changed, one per dirty link
+	epoch    uint64    // rebalance generation, for changed-set dedupe
+	batching int       // >0 while Batch() defers rebalancing
 
-	// order holds all active flows sorted by creation seq; maintained only
-	// in global-rebalance mode, where every event walks every flow.
-	order []*Flow
+	// oracle, when set, replaces the incremental rebalance: the equivalence
+	// tests install a recomputation of every active flow there.
+	oracle func()
 
 	// Directed partition state (partition.go), keyed by int(SiteID) /
 	// int(NodeID); nParted counts installed cuts so the fault-free Reachable
@@ -311,7 +317,8 @@ func (n *Network) Batch(fn func()) {
 // and owned by the network until completion or cancellation.
 type Flow struct {
 	net        *Network
-	links      []*link
+	links      []*link // backed by linkBuf
+	linkBuf    [4]*link
 	seq        uint64
 	mark       uint64  // last rebalance epoch this flow was collected in
 	newRate    float64 // scratch: pass-1 rate awaiting pass-2 application
@@ -328,6 +335,20 @@ type Flow struct {
 	bytes      float64
 }
 
+// newFlow stamps a flow with the next creation sequence number.
+func (n *Network) newFlow(bytes, capBps float64, done func()) *Flow {
+	f := &Flow{
+		net:       n,
+		seq:       n.flowSeq,
+		remaining: bytes,
+		bytes:     bytes,
+		done:      done,
+		capBps:    capBps,
+	}
+	n.flowSeq++
+	return f
+}
+
 // StartFlow begins a transfer of bytes from src to dst, invoking done when
 // the last byte arrives. A cross-site flow crosses both sites' WAN links and
 // is capped at cfg.WANFlowBps. src must differ from dst: a local "transfer"
@@ -337,20 +358,13 @@ func (n *Network) StartFlow(src, dst NodeID, bytes float64, done func()) *Flow {
 		panic("netmodel: StartFlow with src == dst; use StartDiskIO")
 	}
 	ns, nd := n.nodes[src], n.nodes[dst]
-	f := &Flow{
-		net:       n,
-		seq:       n.flowSeq,
-		remaining: bytes,
-		bytes:     bytes,
-		done:      done,
-		capBps:    n.cfg.NodeBps,
-	}
-	n.flowSeq++
+	f := n.newFlow(bytes, n.cfg.NodeBps, done)
 	latency := n.cfg.LANLatency
-	f.links = append(f.links, &ns.up, &nd.down)
+	f.linkBuf[0], f.linkBuf[1] = &ns.up, &nd.down
+	f.links = f.linkBuf[:2]
 	if ns.site != nd.site {
-		ss, sd := n.sites[ns.site], n.sites[nd.site]
-		f.links = append(f.links, &ss.up, &sd.down)
+		f.linkBuf[2], f.linkBuf[3] = &n.sites[ns.site].up, &n.sites[nd.site].down
+		f.links = f.linkBuf[:4]
 		f.capBps = n.cfg.WANFlowBps
 		f.crossSite = true
 		latency = n.cfg.WANLatency
@@ -363,19 +377,37 @@ func (n *Network) StartFlow(src, dst NodeID, bytes float64, done func()) *Flow {
 // StartDiskIO begins a disk read or write of bytes on node, invoking done on
 // completion. Concurrent I/O on the same node shares the disk bandwidth.
 func (n *Network) StartDiskIO(node NodeID, bytes float64, done func()) *Flow {
-	f := &Flow{
-		net:       n,
-		seq:       n.flowSeq,
-		remaining: bytes,
-		bytes:     bytes,
-		done:      done,
-		capBps:    n.cfg.DiskBps,
-		diskIO:    true,
-	}
-	n.flowSeq++
-	f.links = append(f.links, &n.nodes[node].disk)
+	f := n.newFlow(bytes, n.cfg.DiskBps, done)
+	f.diskIO = true
+	f.linkBuf[0] = &n.nodes[node].disk
+	f.links = f.linkBuf[:1]
 	n.admit(f, 0)
 	return f
+}
+
+// The engine callbacks below take the flow as their pre-bound argument, so
+// starting and re-timing a flow allocates no closure.
+
+func flowJoin(x any) {
+	f := x.(*Flow)
+	f.net.join(f)
+}
+
+func flowComplete(x any) {
+	f := x.(*Flow)
+	f.net.complete(f)
+}
+
+// flowArrive completes a zero-byte flow once its latency has elapsed.
+func flowArrive(x any) {
+	f := x.(*Flow)
+	if f.finished {
+		return
+	}
+	f.finished = true
+	if f.done != nil {
+		f.done()
+	}
 }
 
 func (n *Network) admit(f *Flow, latency sim.Time) {
@@ -383,38 +415,29 @@ func (n *Network) admit(f *Flow, latency sim.Time) {
 		// Zero-byte transfers complete after the propagation latency. The
 		// flow stays cancelable until then: Cancel stops the timer and
 		// suppresses done.
-		f.timer = n.eng.After(latency, func() {
-			if f.finished {
-				return
-			}
-			f.finished = true
-			if f.done != nil {
-				f.done()
-			}
-		})
+		f.timer = n.eng.AfterArg(latency, flowArrive, f)
 		return
 	}
-	join := func() {
-		if f.finished {
-			return
-		}
-		n.nActive++
-		for _, l := range f.links {
-			n.markDirty(l)
-			l.attach(f)
-		}
-		f.active = true
-		f.lastSettle = n.eng.Now()
-		if n.cfg.GlobalRebalance {
-			n.orderInsert(f)
-		}
-		n.rebalance()
-	}
 	if latency > 0 {
-		f.timer = n.eng.After(latency, join)
+		f.timer = n.eng.AfterArg(latency, flowJoin, f)
 	} else {
-		join()
+		n.join(f)
 	}
+}
+
+// join attaches f to its links once its latency has elapsed.
+func (n *Network) join(f *Flow) {
+	if f.finished {
+		return
+	}
+	n.nActive++
+	for _, l := range f.links {
+		n.markDirty(l)
+		l.attach(f)
+	}
+	f.active = true
+	f.lastSettle = n.eng.Now()
+	n.rebalance()
 }
 
 // Cancel aborts the flow without invoking done. Canceling a finished flow is
@@ -460,9 +483,6 @@ func (n *Network) leave(f *Flow) {
 		l.detach(f)
 	}
 	f.active = false
-	if n.cfg.GlobalRebalance {
-		n.orderRemove(f)
-	}
 }
 
 // markDirty records a link whose population is about to change. Callers
@@ -476,56 +496,40 @@ func (n *Network) markDirty(l *link) {
 	}
 }
 
-// orderInsert keeps the global-mode flow list sorted by creation seq (flows
-// can join out of creation order: WAN latency exceeds LAN latency).
-func (n *Network) orderInsert(f *Flow) {
-	i := sort.Search(len(n.order), func(i int) bool { return n.order[i].seq >= f.seq })
-	n.order = append(n.order, nil)
-	copy(n.order[i+1:], n.order[i:])
-	n.order[i] = f
-}
+// flowRun is a run of changed flows, changed[next:end], in ascending seq.
+type flowRun struct{ next, end int }
 
-func (n *Network) orderRemove(f *Flow) {
-	i := sort.Search(len(n.order), func(i int) bool { return n.order[i].seq >= f.seq })
-	if i < len(n.order) && n.order[i] == f {
-		n.order = append(n.order[:i], n.order[i+1:]...)
-	}
-}
-
-// rebalance recomputes rates for every flow whose rate may have changed and
-// reschedules their completion events. In incremental mode that is the flows
-// registered on dirty links; in global mode it is every active flow (skips
-// are cheap: an unchanged rate with a live timer needs no settling). Flows
-// are processed in creation order in both modes so same-instant completions
-// acquire identical tie-breaking sequence numbers.
+// rebalance recomputes rates for the flows registered on dirty links and
+// re-times those whose rate moved. Changed flows are settled in creation
+// order, so same-instant completions acquire the tie-breaking sequence
+// numbers that recomputing every active flow in creation order would give
+// them.
 func (n *Network) rebalance() {
 	if n.batching > 0 {
 		return
 	}
-	now := n.eng.Now()
-	if n.cfg.GlobalRebalance {
+	if n.oracle != nil {
 		for _, l := range n.dirty {
 			l.dirty = false
 		}
 		n.dirty = n.dirty[:0]
-		for _, f := range n.order {
-			n.recompute(f, now)
-		}
+		n.oracle()
 		return
 	}
 	if len(n.dirty) == 0 {
 		return
 	}
-	// Pass 1, unordered: scan the dirty links' registries and keep only the
-	// flows whose equal-share rate actually moved. Skipped flows have no
-	// side effects, so ordering only matters for the survivors — sorting
-	// the (usually much smaller) changed set is the hot-path saving.
+	// Pass 1: scan each dirty link's registry once and keep only the flows
+	// whose equal-share rate actually moved. Skipped flows have no side
+	// effects. A registry is in seq order, so the flows one link contributes
+	// form an ascending run.
 	n.epoch++
-	changed := n.affected[:0]
+	changed, runs := n.changed[:0], n.runs[:0]
 	for _, l := range n.dirty {
 		l.dirty = false
 		share := l.shareVal
 		prev := l.prevShare
+		start := len(changed)
 		for _, f := range l.flows {
 			if f.mark == n.epoch {
 				continue
@@ -544,23 +548,53 @@ func (n *Network) rebalance() {
 				changed = append(changed, f)
 			}
 		}
+		if len(changed) > start {
+			runs = append(runs, flowRun{start, len(changed)})
+		}
 	}
 	n.dirty = n.dirty[:0]
-	// Pass 2, creation order: settle and re-time. Fresh tie-breaking seqs
-	// are drawn in the same order the global path would draw them.
-	slices.SortFunc(changed, func(a, b *Flow) int {
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	for _, f := range changed {
+	// Pass 2: settle and re-time in creation order, merging the runs. Fresh
+	// tie-breaking seqs are drawn in the order a recomputation of every
+	// active flow would draw them.
+	n.mergeApply(changed, runs, n.eng.Now())
+	clear(changed)
+	n.changed, n.runs = changed[:0], runs[:0]
+}
+
+// mergeApply applies the changed flows' new rates in ascending seq by a
+// k-way merge of their runs, through a min-heap of runs keyed by each run's
+// next flow. A single run is applied straight through.
+func (n *Network) mergeApply(changed []*Flow, runs []flowRun, now sim.Time) {
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftRun(changed, runs, i)
+	}
+	for len(runs) > 0 {
+		f := changed[runs[0].next]
 		n.applyRate(f, now, f.newRate)
+		if runs[0].next++; runs[0].next == runs[0].end {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		siftRun(changed, runs, 0)
 	}
-	for i := range changed {
-		changed[i] = nil
+}
+
+// siftRun restores the min-heap order of runs below index i.
+func siftRun(changed []*Flow, runs []flowRun, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(runs) {
+			return
+		}
+		if c+1 < len(runs) && changed[runs[c+1].next].seq < changed[runs[c].next].seq {
+			c++
+		}
+		if changed[runs[i].next].seq < changed[runs[c].next].seq {
+			return
+		}
+		runs[i], runs[c] = runs[c], runs[i]
+		i = c
 	}
-	n.affected = changed[:0]
 }
 
 // flowRate returns the flow's current equal-share rate: the minimum share
@@ -575,21 +609,10 @@ func (n *Network) flowRate(f *Flow) float64 {
 	return rate
 }
 
-// recompute settles f at its old rate and re-times its completion if the
-// equal-share rate moved (the global path; the incremental path splits the
-// rate computation into pass 1 and calls applyRate directly).
-func (n *Network) recompute(f *Flow, now sim.Time) {
-	rate := n.flowRate(f)
-	if rate == f.rate && (rate <= 0 || f.timer.Active()) {
-		return
-	}
-	n.applyRate(f, now, rate)
-}
-
 // applyRate settles f at its old rate, installs the new rate, and re-times
 // the completion. Settling happens only at rate changes, never in between,
-// so incremental and global rebalancing accumulate byte-identical remaining
-// values.
+// so the incremental rebalance accumulates the same remaining values as a
+// recomputation of every flow on every event would.
 func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
 	if dt := (now - f.lastSettle).Seconds(); dt > 0 {
 		f.remaining -= f.rate * dt
@@ -613,8 +636,7 @@ func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
 	if f.timer.Active() {
 		f.timer.Reschedule(now + fin)
 	} else {
-		ff := f
-		f.timer = n.eng.Schedule(now+fin, func() { n.complete(ff) })
+		f.timer = n.eng.ScheduleArg(now+fin, flowComplete, f)
 	}
 }
 

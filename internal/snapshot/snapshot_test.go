@@ -427,8 +427,10 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 
 // TestRestoreIgnoresRetiredEngineFields: v2 snapshots written while the
 // engine had selectable queues may carry heap_scheduler, sequential_engine
-// and shards in their config. The engine choice never changed results, so
-// such a snapshot must restore and finish exactly like one without them.
+// and shards in their config, and those written while the network had a
+// selectable rebalance carry GlobalRebalance in its net config. Neither
+// choice ever changed results, so such a snapshot must restore and finish
+// exactly like one without them.
 func TestRestoreIgnoresRetiredEngineFields(t *testing.T) {
 	sys, err := core.NewSystem(core.HOGConfig(60, grid.ChurnStable, 5))
 	if err != nil {
@@ -461,6 +463,14 @@ func TestRestoreIgnoresRetiredEngineFields(t *testing.T) {
 	cfg["heap_scheduler"] = json.RawMessage("true")
 	cfg["sequential_engine"] = json.RawMessage("true")
 	cfg["shards"] = json.RawMessage("4")
+	var net map[string]json.RawMessage
+	if err := json.Unmarshal(cfg["net"], &net); err != nil {
+		t.Fatal(err)
+	}
+	net["GlobalRebalance"] = json.RawMessage("true")
+	if cfg["net"], err = json.Marshal(net); err != nil {
+		t.Fatal(err)
+	}
 	if p["config"], err = json.Marshal(cfg); err != nil {
 		t.Fatal(err)
 	}
